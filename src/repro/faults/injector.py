@@ -208,10 +208,10 @@ class FaultInjector:
         dense *accumulator* — compute state, not weights, so the CRC32
         weight guard cannot see it.  It is applied by the model itself
         on its next dense call and self-clears (transient upset); on a
-        plain :class:`BatchedQuantModel` it silently corrupts outputs,
-        on an :class:`~repro.resilience.abft.AbftBatchedModel` the
-        column checksum catches it with certainty (the flipped bit is
-        below bit 31, so the row sum changes mod 2**32).
+        plain :class:`~repro.serve.aot.AotModel` it silently corrupts
+        outputs, on one built with ``abft=True`` the column checksum
+        catches it with certainty (the flipped bit is below bit 31, so
+        the row sum changes mod 2**32).
         """
         arm = getattr(entry.model, "arm_sdc", None)
         if arm is None:

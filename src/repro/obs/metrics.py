@@ -505,25 +505,25 @@ REGISTRY = MetricsRegistry()
 _PROCESS_T0 = time.monotonic()
 
 _BUILD_LOCK = threading.Lock()
-_BUILD_INFO = {"version": "", "engine": "", "backend": ""}
+#: ``backend`` names the serving model; ``"aot"``
+#: (:class:`repro.serve.aot.AotModel`) is the only one.
+_BUILD_INFO = {"version": "", "engine": "", "backend": "aot"}
 
 
-def set_build_info(version: str | None = None, engine: str | None = None,
-                   backend: str | None = None) -> None:
+def set_build_info(version: str | None = None,
+                   engine: str | None = None) -> None:
     """Stamp what this process is running.
 
     Only the given fields change; repeated calls refine earlier ones
-    (e.g. the CLI stamps ``version`` at import and ``engine``/``backend``
-    once the subcommand has resolved them).  The values surface as
-    labels on the ``repro_build_info`` info-gauge.
+    (e.g. the CLI stamps ``version`` at import and ``engine`` once the
+    subcommand has resolved it).  The values surface as labels on the
+    ``repro_build_info`` info-gauge.
     """
     with _BUILD_LOCK:
         if version is not None:
             _BUILD_INFO["version"] = str(version)
         if engine is not None:
             _BUILD_INFO["engine"] = str(engine)
-        if backend is not None:
-            _BUILD_INFO["backend"] = str(backend)
 
 
 def build_info() -> dict:

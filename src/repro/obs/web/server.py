@@ -516,8 +516,8 @@ class DashboardServer:
 
 @contextlib.contextmanager
 def bench_dashboard(port: int | None, engine=None, cluster=None,
-                    label: str = "", backend: str | None = None,
-                    scale: int | None = None, quiet: bool = False):
+                    label: str = "", scale: int | None = None,
+                    quiet: bool = False):
     """Run a bench with ``--dashboard PORT`` attached (no-op on None).
 
     Registers the engine/cluster metric collectors on the global
@@ -531,7 +531,7 @@ def bench_dashboard(port: int | None, engine=None, cluster=None,
         yield None
         return
     from ..metrics import set_build_info
-    set_build_info(engine=label, backend=backend)
+    set_build_info(engine=label)
     dashboard = DashboardServer(engine=engine, cluster=cluster, port=port,
                                 flame_scale=scale)
     dashboard.start()

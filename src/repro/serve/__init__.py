@@ -5,10 +5,11 @@ extended core"; this package answers "how do we serve many of them" —
 and "how do we keep serving them when the substrate misbehaves".  It
 layers a production-shaped runtime on top of the bit-exact golden model:
 
-* :mod:`repro.serve.batched` — :class:`BatchedQuantModel`, a vectorized
-  executor that runs dense/LSTM/conv layers over a leading batch axis
-  with the exact Q3.12 saturation semantics of
-  :class:`repro.nn.network.QuantModel` (bit-identical per sample).
+* :mod:`repro.serve.aot` — :class:`AotModel`, the one serving model:
+  each network compiled once into a fused batched numpy pass,
+  bit-identical per sample to :class:`repro.nn.network.QuantModel`,
+  with the ABFT checksum optionally fused in.  Inputs outside the
+  Q3.12 int16 range are rejected, never served.
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, per-network
   request queues with dynamic batching (max batch size + max linger),
   a cached plan/model registry keyed on ``(network, level)``,
@@ -39,7 +40,7 @@ Scaling this engine beyond one process — sharding, replica balancing,
 worker supervision and autoscaling — lives in :mod:`repro.cluster`.
 """
 
-from .batched import BatchedQuantModel
+from .aot import AotModel
 from .breaker import BreakerState, CircuitBreaker
 from .chaos import default_scenario, render_chaos_table, run_chaos_bench
 from .engine import (EngineConfig, InferenceEngine, ModelRegistry, Request,
@@ -50,7 +51,7 @@ from .metrics import Counter, Gauge, LatencyHistogram, ServeMetrics
 from .shutdown import GracefulShutdown
 
 __all__ = [
-    "BatchedQuantModel",
+    "AotModel",
     "BreakerState",
     "CircuitBreaker",
     "EngineConfig",

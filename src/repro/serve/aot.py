@@ -1,10 +1,8 @@
-"""Ahead-of-time plan compiler: one fused batched callable per network.
+"""Ahead-of-time plan compiler and the serving model built on it.
 
-:class:`~repro.serve.batched.BatchedQuantModel` re-dispatches on layer
-specs, re-derives shifted biases and walks the segment-evaluated PLA
-(:func:`repro.fixedpoint.lut.pla_apply`) on every step.  This module
-lowers a ``(network, level)`` plan **once**, at registry-build time,
-into a single generated Python function with no per-layer dispatch:
+:class:`AotModel` is the one model the serving stack runs.  It lowers a
+network **once**, at registry-build time, into a single generated
+Python function with no per-layer dispatch:
 
 * weights are preloaded as contiguous arrays — the matvec operand as a
   transposed *float64* copy (see the exactness argument below), the
@@ -19,35 +17,33 @@ into a single generated Python function with no per-layer dispatch:
   across batches (`out=` forms throughout; the only per-call
   allocation is the returned output copy).
 
+The golden reference is the scalar :class:`repro.nn.network.QuantModel`;
+``tests/test_serve_aot.py`` asserts row-for-row bit-identity against it.
+
 Exactness of the float64 matmul
 -------------------------------
 The scalar model accumulates ``acc = sum(w_ij * x_j) + (b_i << 12)`` in
-exact integer arithmetic before ``wrap32``.  With ``|x| <= 32767``
-(enforced: wider inputs take the bit-exact batched fallback) and
-``|w| <= 32767`` (guaranteed by Q3.12 quantization), every product is
-below ``2**30`` and every partial sum is bounded by
-``n_in * 32767**2 < 2**53`` for any realistic layer width — so each is
-an integer exactly representable in IEEE float64, *regardless of the
-summation order BLAS picks*.  The float64 GEMM therefore returns the
-exact integer sum, the cast back to int64 is exact, and ``wrap32`` /
-shift / saturate proceed bit-identically to the integer path — the
-same prove-exact-then-vectorize contract as the turbo ISS engine,
-asserted by the differential and fuzz tests in
-``tests/test_serve_aot.py``.
+exact integer arithmetic before ``wrap32``.  Inputs are Q3.12 int16
+values — the packed 16-bit operands ``pl.sdotsp.h`` reads on the core —
+so :meth:`AotModel.infer` rejects any element outside
+``[-32768, 32767]`` with :class:`ValueError` (:func:`check_int16`).
+With ``|x| <= 32768`` and ``|w| <= 32768`` (guaranteed by Q3.12
+quantization), every product is at most ``2**30`` and every partial sum
+is bounded by ``n_in * 2**30 < 2**53`` for any realistic layer width —
+so each is an integer exactly representable in IEEE float64,
+*regardless of the summation order BLAS picks*.  The float64 GEMM
+therefore returns the exact integer sum, the cast back to int64 is
+exact, and ``wrap32`` / shift / saturate proceed bit-identically to the
+integer path — the same prove-exact-then-vectorize contract as the
+turbo ISS engine, asserted by the differential and fuzz tests.
 
-ABFT interop: the compiled variant used when the registry serves with
-``abft=True`` emits the integer column-checksum verification of
-:mod:`repro.resilience.abft` against the fused accumulator of every
-dense/LSTM matvec and raises the same :class:`SdcDetected`, so the
-engine's quarantine → repair → rerun path is backend-agnostic.  The
-``arm_sdc`` fault-injection hook is honoured by both variants at the
-same point of the datapath (the wrapped 32-bit accumulator, before the
-lossy shift).
-
-Anything the compiler cannot prove it can lower (an unknown layer spec
-or activation) raises :class:`AotUnsupported`, and
-:func:`build_serving_model` falls back to the batched interpreter —
-callers never see a half-compiled model.
+ABFT: with ``abft=True`` the compiled plan verifies the integer column
+checksum of :mod:`repro.resilience.abft` against the fused accumulator
+of every dense/LSTM matvec (:func:`_abft_check`) and raises
+:class:`~repro.resilience.abft.SdcDetected`, which the engine answers
+with quarantine → repair → rerun.  The ``arm_sdc`` fault-injection hook
+corrupts the same point of the datapath with and without ABFT (the
+wrapped 32-bit accumulator, before the lossy shift).
 """
 
 from __future__ import annotations
@@ -61,19 +57,17 @@ from ..fixedpoint.activations import SIG_TABLE, TANH_TABLE
 from ..fixedpoint.lut import pla_apply
 from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 from ..obs.metrics import REGISTRY
-from .batched import BatchedQuantModel
 
-__all__ = ["AotUnsupported", "AotPlan", "compile_plan",
-           "AotBatchedModel", "AotAbftModel", "build_serving_model",
+__all__ = ["AotPlan", "compile_plan", "AotModel", "check_int16",
            "TANH_LUT", "SIG_LUT", "run_aot_bench", "render_aot_table"]
 
 _FRAC = 12
 
-#: Compile / plan-cache / fallback events on the unified ``repro.obs``
-#: registry, mirroring ``iss_turbo_events_total``.
+#: Compile / plan-cache events on the unified ``repro.obs`` registry,
+#: mirroring ``iss_turbo_events_total``.
 _AOT_EVENTS = REGISTRY.counter(
     "serve_aot_events_total",
-    "AOT plan-compiler compile, plan-cache and fallback events.",
+    "AOT plan-compiler compile and plan-cache events.",
     ("event",))
 
 
@@ -87,8 +81,18 @@ TANH_LUT = _full_domain_lut(TANH_TABLE)
 SIG_LUT = _full_domain_lut(SIG_TABLE)
 
 
-class AotUnsupported(Exception):
-    """The plan contains a construct the AOT compiler cannot lower."""
+def check_int16(x: np.ndarray) -> None:
+    """Raise :class:`ValueError` unless every element of ``x`` is int16.
+
+    The input contract of the whole stack: raw Q3.12 values in
+    ``[-32768, 32767]``, the only operands the core's packed 16-bit
+    datapath can hold, and the bound the float64-GEMM exactness
+    argument rests on.
+    """
+    if x.size and (x.min() < -32768 or x.max() > 32767):
+        raise ValueError(
+            f"input outside the Q3.12 int16 range [-32768, 32767] "
+            f"(min {int(x.min())}, max {int(x.max())})")
 
 
 def _sdc_hook(model, acc) -> None:
@@ -99,11 +103,14 @@ def _sdc_hook(model, acc) -> None:
 def _abft_check(model, acc, x, colsum, bias_sum) -> None:
     """Column-checksum verification of one fused accumulator.
 
-    Same integer identity as :func:`repro.resilience.abft.
-    verify_dense_acc`, against weights frozen at compile time (compile
-    happens on pristine parameters, and ``reload_params`` re-derives
-    them whenever the registry repairs an entry, so the reference never
-    drifts from what the GEMM actually used).
+    Checks, per batch row, the identity derived in
+    :mod:`repro.resilience.abft`::
+
+        wrap32(sum_j acc[b, j]) == wrap32(bias_sum + x[b] @ colsum)
+
+    against column sums of the weights as loaded (``reload_params``
+    re-derives them whenever the registry repairs an entry, so the
+    reference never drifts from what the GEMM actually used).
     """
     from ..nn.layers import wrap32
     from ..resilience.abft import SdcDetected
@@ -184,8 +191,7 @@ class _Compiler:
     # -- layers --------------------------------------------------------
     def dense(self, k: int, spec: DenseSpec) -> None:
         if spec.activation not in (None, "relu", "tanh", "sig"):
-            raise AotUnsupported(
-                f"dense activation {spec.activation!r}")
+            raise ValueError(f"unknown activation {spec.activation!r}")
         m, n = spec.n_in, spec.n_out
         self.weight(f"WF{k}", lambda p, i=k: np.ascontiguousarray(
             np.asarray(p[i]["w"], dtype=np.int64).T, dtype=np.float64))
@@ -264,8 +270,6 @@ class _Compiler:
         self.emit(f"V = H{k}")
 
     def conv(self, k: int, spec: ConvSpec) -> None:
-        # Exact int64 einsum (conv nets sit outside the suite hot path;
-        # the accumulator identity to the batched model is immediate).
         ho, wo = spec.h_out, spec.w_out
         kk, pix, win = spec.k, ho * wo, spec.cin * spec.k ** 2
         self.weight(f"WCF{k}", lambda p, i=k, c=spec.cout:
@@ -296,7 +300,7 @@ class _Compiler:
         self._wrap32(f"AC{k}", f"TC{k}")
         self.emit(f"np.right_shift(AC{k}, 12, out=AC{k})")
         self.emit(f"np.clip(AC{k}, -32768, 32767, out=AC{k})")
-        # back to the batched model's channel-major (B, cout*ho*wo).
+        # back to QuantModel's channel-major (B, cout*ho*wo).
         self.emit(f"np.copyto(OC{k}, AC{k}.transpose(0, 2, 1))")
         self.emit(f"V = OC{k}.reshape(B, -1)")
 
@@ -313,7 +317,7 @@ class _Compiler:
             elif isinstance(spec, ConvSpec):
                 self.conv(k, spec)
             else:
-                raise AotUnsupported(f"layer spec {type(spec).__name__}")
+                raise TypeError(f"unknown layer spec {spec!r}")
         body = self.lines
         self.lines = []
         # Prologue: bind operands/buffers to locals, zero LSTM state.
@@ -360,34 +364,58 @@ def compile_plan(network: Network, abft: bool = False) -> AotPlan:
     return plan
 
 
-class AotBatchedModel(BatchedQuantModel):
-    """Drop-in :class:`BatchedQuantModel` running the compiled plan.
+class AotModel:
+    """The serving model: one network's compiled plan plus its operands.
 
-    ``infer`` executes the fused pass; ``step``/``forward``/``reset``
-    are inherited (interpreted) for the rare callers that step
-    manually.  The static per-inference cycle estimate is carried as
+    :meth:`infer` executes the fused pass over a batch.  With ``abft``
+    every dense/LSTM accumulator is checksum-verified and a mismatch
+    raises :class:`repro.resilience.abft.SdcDetected`.  The static
+    per-inference cycle estimate is carried as
     :attr:`cycles_per_request` and is cycle-exact vs
     :func:`repro.perfmodel.predict_network_cycles` (asserted by
     ``tests/test_serve_aot.py``).
     """
 
-    backend_name = "aot"
-    _abft = False
-
     def __init__(self, network: Network, params_raw: list,
-                 level: str = "e"):
-        super().__init__(network, params_raw)
+                 level: str = "e", abft: bool = False):
+        self.network = network
+        self.params = params_raw
         self.level = level
-        self._plan = compile_plan(network, abft=self._abft)
+        self.abft = abft
+        self._plan = compile_plan(network, abft=abft)
         self._weights: dict = {}
         self.reload_params()
         self._buffers: dict[int, dict] = {}
-        self._wide_model = None
+        self._sdc_corruptor = None
+        #: Checksum mismatches (batch rows) this instance has detected.
+        self.sdc_detections = 0
         from ..rrm.suite import network_trace
         #: Static whole-inference cycle count of the generated kernel
         #: (== ``predict_network_cycles(network, level).cycles``).
         self.cycles_per_request = int(
             network_trace(network, level).total_cycles)
+
+    def arm_sdc(self, corruptor) -> None:
+        """Arm a one-shot accumulator corruption for fault injection.
+
+        ``corruptor(acc)`` mutates the next dense/LSTM accumulator in
+        place (a single-bit flip, typically).  Without ABFT the
+        corruption is served silently — what an undetected SDC looks
+        like; with ABFT the checksum catches it.  Arming twice before
+        the next accumulator chains the corruptors.
+        """
+        prev = self._sdc_corruptor
+        if prev is None:
+            self._sdc_corruptor = corruptor
+        else:
+            def chained(acc, _first=prev, _second=corruptor):
+                _first(acc)
+                _second(acc)
+            self._sdc_corruptor = chained
+
+    def _take_sdc(self):
+        corruptor, self._sdc_corruptor = self._sdc_corruptor, None
+        return corruptor
 
     def reload_params(self) -> None:
         """Re-derive every preloaded operand from ``self.params``.
@@ -407,107 +435,72 @@ class AotBatchedModel(BatchedQuantModel):
             self._buffers[batch] = buf
         return buf
 
-    def _wide_fallback(self) -> BatchedQuantModel:
-        """Bit-exact escape hatch for inputs outside int16 range,
-        where the float64-GEMM exactness argument does not hold."""
-        if self._wide_model is None:
-            if self._abft:
-                from ..resilience.abft import AbftBatchedModel
-                self._wide_model = AbftBatchedModel(self.network,
-                                                    self.params)
-            else:
-                self._wide_model = BatchedQuantModel(self.network,
-                                                     self.params)
-        if self._sdc_corruptor is not None:
-            self._wide_model.arm_sdc(self._take_sdc())
-        return self._wide_model
-
     def infer(self, x_batch) -> np.ndarray:
+        """One full inference per row, from zero recurrent state.
+
+        Args:
+            x_batch: ``(B, in_size)`` (the same input is fed at every
+                timestep) or ``(B, T, in_size)`` with
+                ``T == network.timesteps``; raw Q3.12 int16 values.
+
+        Returns:
+            ``(B, out_size)`` raw outputs of the final timestep.
+
+        Raises:
+            ValueError: on a bad shape or any element outside int16.
+        """
         x = np.asarray(x_batch, dtype=np.int64)
         timesteps = self.network.timesteps
-        if x.ndim == 3 and x.shape[1] != timesteps:
+        if x.ndim not in (2, 3) or (x.ndim == 3
+                                    and x.shape[1] != timesteps):
             raise ValueError(
                 f"expected (B, {timesteps}, "
                 f"{self.network.input_size}) inputs, got {x.shape}")
-        if x.ndim not in (2, 3):
-            raise ValueError(
-                f"expected (B, {timesteps}, "
-                f"{self.network.input_size}) inputs, got {x.shape}")
-        if x.size and int(np.abs(x).max()) > 32767:
-            return self._wide_fallback().infer(x)
+        check_int16(x)
         return self._plan.fn(x, timesteps, self._weights,
                              self._buffers_for(x.shape[0]), self)
 
 
-class AotAbftModel(AotBatchedModel):
-    """AOT model with the column-checksum hook fused into every dense
-    and LSTM accumulator (raises :class:`repro.resilience.abft.
-    SdcDetected` exactly like :class:`AbftBatchedModel`)."""
-
-    backend_name = "aot"
-    _abft = True
-
-    def __init__(self, network: Network, params_raw: list,
-                 level: str = "e"):
-        super().__init__(network, params_raw, level=level)
-        #: Detections observed by this instance (metrics/tests parity
-        #: with :class:`repro.resilience.abft.AbftBatchedModel`).
-        self.sdc_detections = 0
-
-
-def build_serving_model(network: Network, params_raw: list,
-                        level: str = "e", abft: bool = False,
-                        backend: str = "aot"):
-    """Build the serving model for one registry entry.
-
-    ``backend="aot"`` compiles the fused plan, falling back to the
-    batched interpreter on :class:`AotUnsupported` (counted on the
-    ``serve_aot_events_total{event="fallback"}`` metric);
-    ``backend="batched"`` always builds the interpreter.
-    """
-    if backend not in ("aot", "batched"):
-        raise ValueError(f"unknown serving backend {backend!r}")
-    if backend == "aot":
-        cls = AotAbftModel if abft else AotBatchedModel
-        try:
-            return cls(network, params_raw, level=level)
-        except AotUnsupported:
-            _AOT_EVENTS.inc(event="fallback")
-    if abft:
-        from ..resilience.abft import AbftBatchedModel
-        return AbftBatchedModel(network, params_raw)
-    return BatchedQuantModel(network, params_raw)
-
-
 # ----------------------------------------------------------------------
-# aot-bench: direct model-level throughput, AOT vs batched interpreter.
+# aot-bench: direct model-level throughput vs sequential scalar serving.
 # ----------------------------------------------------------------------
-def _bench_model(model, x, repeats: int) -> float:
-    """Best-of-``repeats`` wall time for one ``infer`` call."""
+def _best_of(fn, repeats: int) -> float:
+    """Best-of-``repeats`` wall time for one ``fn()`` call."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        model.infer(x)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _sequential(reference, x) -> np.ndarray:
+    """Serve each row alone through the scalar golden model."""
+    outs = []
+    for row in x:
+        reference.reset()
+        outs.append(reference.forward(row))
+    return np.stack(outs)
 
 
 def run_aot_bench(scale: int | None = None, level: str = "e",
                   batch_size: int = 16, repeats: int = 5,
                   fuzz_batches: int = 3, seed: int = 2020,
                   out_path: str | None = None) -> dict:
-    """Model-level AOT vs batched comparison over the whole suite.
+    """Model-level AOT vs sequential scalar comparison over the suite.
 
     The open-loop serve bench measures the *system* under an offered
-    load; this bench isolates the backend itself: identical parameters,
-    identical input batches, best-of-N timing, plus a randomized
-    bit-exactness sweep per network.  Results feed the roofline's
-    achieved-vs-ceiling column.
+    load; this bench isolates the compiled model: one batched
+    ``infer`` against the same batch served row by row through the
+    scalar golden :class:`~repro.nn.network.QuantModel` (identical
+    parameters and inputs, best-of-N timing), plus a randomized
+    full-int16-range bit-exactness sweep per network against that
+    reference.  Results feed the roofline's achieved-vs-ceiling column.
     """
     import json
     import os
 
-    from ..nn.network import init_params, quantize_params
+    from ..nn.network import QuantModel, init_params, quantize_params
     from ..perfmodel.roofline import roofline_report
     from ..rrm.networks import suite
 
@@ -515,38 +508,33 @@ def run_aot_bench(scale: int | None = None, level: str = "e",
     rng = np.random.default_rng(seed)
     per_network = {}
     bit_exact = True
-    total_aot = total_batched = 0.0
+    total_aot = total_seq = 0.0
     for network in networks:
         params = quantize_params(
             init_params(network, np.random.default_rng(seed)))
-        batched = BatchedQuantModel(network, params)
-        aot = build_serving_model(network, params, level=level)
-        x = rng.integers(-4096, 4096,
-                         size=(batch_size, network.timesteps,
-                               network.input_size), dtype=np.int64)
+        model = AotModel(network, params, level=level)
+        reference = QuantModel(network, params)
+        shape = (batch_size, network.timesteps, network.input_size)
+        x = rng.integers(-4096, 4096, size=shape, dtype=np.int64)
         exact = True
         for _ in range(fuzz_batches):
-            xf = rng.integers(-32768, 32768,
-                              size=(batch_size, network.timesteps,
-                                    network.input_size), dtype=np.int64)
-            if not np.array_equal(aot.infer(xf), batched.infer(xf)):
+            xf = rng.integers(-32768, 32768, size=shape, dtype=np.int64)
+            if not np.array_equal(model.infer(xf),
+                                  _sequential(reference, xf)):
                 exact = False
         bit_exact = bit_exact and exact
-        t_aot = _bench_model(aot, x, repeats)
-        t_batched = _bench_model(batched, x, repeats)
+        t_aot = _best_of(lambda: model.infer(x), repeats)
+        t_seq = _best_of(lambda: _sequential(reference, x), repeats)
         total_aot += t_aot
-        total_batched += t_batched
+        total_seq += t_seq
         per_network[network.name] = {
-            "backend": getattr(aot, "backend_name", "batched"),
             "bit_exact": exact,
             "batch_size": batch_size,
             "aot_s_per_batch": t_aot,
-            "batched_s_per_batch": t_batched,
+            "seq_s_per_batch": t_seq,
             "aot_rps": batch_size / t_aot if t_aot > 0 else 0.0,
-            "batched_rps": batch_size / t_batched
-            if t_batched > 0 else 0.0,
-            "speedup_vs_batched": t_batched / t_aot
-            if t_aot > 0 else 0.0,
+            "seq_rps": batch_size / t_seq if t_seq > 0 else 0.0,
+            "speedup_vs_sequential": t_seq / t_aot if t_aot > 0 else 0.0,
         }
     achieved = {name: row["aot_rps"] for name, row in per_network.items()}
     result = {
@@ -554,16 +542,15 @@ def run_aot_bench(scale: int | None = None, level: str = "e",
         "config": {"scale": scale, "level": level,
                    "batch_size": batch_size, "repeats": repeats,
                    "fuzz_batches": fuzz_batches, "seed": seed},
-        "backend": "aot",
         "bit_exact": bit_exact,
         "per_network": per_network,
         "total": {
             "aot_rps": (len(networks) * batch_size / total_aot
                         if total_aot > 0 else 0.0),
-            "batched_rps": (len(networks) * batch_size / total_batched
-                            if total_batched > 0 else 0.0),
-            "speedup_vs_batched": (total_batched / total_aot
-                                   if total_aot > 0 else 0.0),
+            "seq_rps": (len(networks) * batch_size / total_seq
+                        if total_seq > 0 else 0.0),
+            "speedup_vs_sequential": (total_seq / total_aot
+                                      if total_aot > 0 else 0.0),
         },
         "roofline": roofline_report(networks, achieved_rps=achieved),
     }
@@ -580,26 +567,26 @@ def render_aot_table(result: dict) -> str:
     """Human-readable table for one :func:`run_aot_bench` result."""
     config = result["config"]
     lines = [
-        "aot-bench: compiled plans vs batched interpreter "
+        "aot-bench: compiled plans vs sequential scalar QuantModel "
         f"(level {config['level']}, batch {config['batch_size']}, "
         f"best of {config['repeats']})",
         "",
     ]
     header = (f"{'network':<15}{'exact':>6}{'aot rps':>12}"
-              f"{'batched rps':>13}{'speedup':>9}")
+              f"{'seq rps':>13}{'speedup':>9}")
     lines.append(header)
     lines.append("-" * len(header))
     for name, row in result["per_network"].items():
         lines.append(
             f"{name:<15}{'yes' if row['bit_exact'] else 'NO':>6}"
-            f"{row['aot_rps']:>12.0f}{row['batched_rps']:>13.0f}"
-            f"{row['speedup_vs_batched']:>8.1f}x")
+            f"{row['aot_rps']:>12.0f}{row['seq_rps']:>13.0f}"
+            f"{row['speedup_vs_sequential']:>8.1f}x")
     lines.append("-" * len(header))
     total = result["total"]
     lines.append(
         f"{'TOTAL':<15}{'yes' if result['bit_exact'] else 'NO':>6}"
-        f"{total['aot_rps']:>12.0f}{total['batched_rps']:>13.0f}"
-        f"{total['speedup_vs_batched']:>8.1f}x")
+        f"{total['aot_rps']:>12.0f}{total['seq_rps']:>13.0f}"
+        f"{total['speedup_vs_sequential']:>8.1f}x")
     host = result["roofline"]["host"]
     lines.append("")
     lines.append(

@@ -7,7 +7,11 @@ network gets its own request queue and worker thread; the worker forms
 batches with the classic dynamic-batching policy (dispatch when the
 batch is full *or* the oldest queued request has lingered
 ``max_linger_s``), stacks the inputs and runs them through a cached
-:class:`~repro.serve.batched.BatchedQuantModel`.
+:class:`~repro.serve.aot.AotModel`.
+
+A malformed request — wrong shape, or any element outside the Q3.12
+int16 range — settles FAILED on its own at dispatch; its batch peers
+still run and the circuit breaker is not charged.
 
 Overload behaviour degrades gracefully rather than collapsing:
 
@@ -49,14 +53,15 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..faults.plans import InjectedWorkerDeath
 from ..nn.network import Network, QuantModel, init_params, quantize_params
 from ..rrm.networks import suite
-from ..rrm.suite import network_trace, plan_for
-from .batched import BatchedQuantModel
+from ..rrm.suite import plan_for
+from .aot import AotModel, check_int16
 from .breaker import CircuitBreaker
 from .metrics import ServeMetrics
 
@@ -159,7 +164,7 @@ class ModelEntry:
 
     network: Network
     level: str
-    model: BatchedQuantModel
+    model: AotModel
     reference: QuantModel
     params_raw: list
     cycles_per_request: int
@@ -167,10 +172,6 @@ class ModelEntry:
     #: CRC32 per parameter array, frozen at registry build — the ground
     #: truth the integrity guard re-verifies against.
     checksums: list = field(default_factory=list)
-    #: Serving backend actually built for this entry ("aot" or
-    #: "batched" — an AOT request that hit an unsupported construct
-    #: records the fallback honestly).
-    backend: str = "batched"
 
 
 def _param_checksums(params_raw: list) -> list:
@@ -184,35 +185,29 @@ class ModelRegistry:
 
     Parameters are drawn once per network with the registry seed (same
     recipe as :class:`repro.rrm.suite.SuiteRunner`), quantized to Q3.12
-    and shared by the batched model and the per-sample reference.  The
+    and shared by the served model and the per-sample reference.  The
     codegen plan comes from the repo-wide :func:`plan_for` cache.
 
     Because the recipe is a pure function of ``(network, seed)``, the
     registry can also *repair* an entry whose arrays were corrupted in
     memory: :meth:`repair` re-quantizes pristine parameters and reloads
-    them in place, so the batched model and the reference (which share
+    them in place, so the served model and the reference (which share
     the arrays) recover together.
     """
 
     def __init__(self, seed: int = 2020, abft: bool = False,
                  backend: str = "aot"):
+        # ``backend`` accepts only ``EngineConfig.backend`` (``"aot"``);
+        # callers that pass it through keep working.
+        if backend != "aot":
+            raise ValueError(f"unknown serving backend {backend!r}")
         self.seed = seed
-        #: With ``abft`` the served model is checksum-verified (the AOT
-        #: fused-accumulator hook or
-        #: :class:`repro.resilience.abft.AbftBatchedModel`), so silent
-        #: compute corruption raises instead of serving bad outputs.
+        #: With ``abft`` the served model checksum-verifies every fused
+        #: accumulator, so silent compute corruption raises instead of
+        #: serving bad outputs.
         self.abft = abft
-        #: Serving backend: ``"aot"`` compiles fused plans
-        #: (:mod:`repro.serve.aot`), ``"batched"`` keeps the
-        #: interpreted :class:`BatchedQuantModel`.
-        self.backend = backend
         self._lock = threading.Lock()
         self._entries: dict[tuple, ModelEntry] = {}
-
-    def _build_model(self, network: Network, params: list, level: str):
-        from .aot import build_serving_model
-        return build_serving_model(network, params, level=level,
-                                   abft=self.abft, backend=self.backend)
 
     def _pristine_params(self, network: Network) -> list:
         return quantize_params(
@@ -229,18 +224,17 @@ class ModelRegistry:
             entry = self._entries.get(key)
             if entry is None:
                 params = self._params_for(network)
-                model = self._build_model(network, params, level)
+                model = AotModel(network, params, level=level,
+                                 abft=self.abft)
                 entry = ModelEntry(
                     network=network,
                     level=level,
                     model=model,
                     reference=QuantModel(network, params),
                     params_raw=params,
-                    cycles_per_request=network_trace(network,
-                                                     level).total_cycles,
+                    cycles_per_request=model.cycles_per_request,
                     plan=plan_for(network, level),
                     checksums=_param_checksums(params),
-                    backend=getattr(model, "backend_name", "batched"),
                 )
                 self._entries[key] = entry
         return entry
@@ -269,12 +263,10 @@ class ModelRegistry:
             for key in layer:
                 np.copyto(layer[key], good[key])
                 restored += 1
-        # AOT models hold derived operands (transposed float64 weights,
+        # The model holds derived operands (transposed float64 weights,
         # pre-shifted biases, checksum references); re-derive them from
         # the repaired arrays so they cannot drift.
-        reload = getattr(entry.model, "reload_params", None)
-        if reload is not None:
-            reload()
+        entry.model.reload_params()
         return restored
 
     def flush(self) -> int:
@@ -298,12 +290,11 @@ class ModelRegistry:
 class EngineConfig:
     """Batching, overload and fault-tolerance policy knobs."""
 
+    #: The one serving backend, :class:`~repro.serve.aot.AotModel`.
+    #: A read-only constant, not a setting: reported by ``/api/status``
+    #: and kept for callers that pass it to :class:`ModelRegistry`.
+    backend: ClassVar[str] = "aot"
     level: str = "e"
-    #: Serving backend: ``"aot"`` (default) compiles each network's
-    #: plan into a fused batched callable (:mod:`repro.serve.aot`,
-    #: bit-exact, falls back per network on unsupported constructs);
-    #: ``"batched"`` forces the interpreted :class:`BatchedQuantModel`.
-    backend: str = "aot"
     max_batch_size: int = 16
     #: Max time the oldest queued request waits for the batch to fill.
     max_linger_s: float = 0.002
@@ -333,7 +324,7 @@ class EngineConfig:
     #: batch-of-one): a transient fault recovers, a persistent poison
     #: request still fails after the budget.
     failed_single_retries: int = 1
-    #: Serve via the ABFT column-checksum-verified batched model, so
+    #: Serve with the ABFT column checksum fused into the model, so
     #: silent compute corruption is detected (then repaired and rerun)
     #: instead of served.
     abft: bool = False
@@ -342,9 +333,6 @@ class EngineConfig:
     abft_max_reruns: int = 2
 
     def __post_init__(self):
-        if self.backend not in ("aot", "batched"):
-            raise ValueError(
-                f"unknown serving backend {self.backend!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_linger_s < 0:
@@ -448,8 +436,7 @@ class InferenceEngine:
         #: the shared quantized-weight store instead of re-quantizing.
         self.registry = registry if registry is not None \
             else ModelRegistry(seed=self.config.seed,
-                               abft=self.config.abft,
-                               backend=self.config.backend)
+                               abft=self.config.abft)
         self._queues = {net.name: _NetworkQueue(net) for net in self.networks}
         self._ids = itertools.count(1)
         self._running = False
@@ -996,7 +983,14 @@ class InferenceEngine:
 
     @staticmethod
     def _normalize_input(network: Network, x: np.ndarray) -> np.ndarray:
-        """Broadcast a single vector to the network's timestep count."""
+        """Validate one request's input and broadcast a single vector to
+        the network's timestep count.
+
+        Raises :class:`ValueError` on a bad shape or on any element
+        outside the Q3.12 int16 range — the same rule
+        :meth:`AotModel.infer` enforces on a whole batch.
+        """
+        check_int16(x)
         if x.ndim == 1:
             x = np.repeat(x[None, :], network.timesteps, axis=0)
         if x.shape != (network.timesteps, network.input_size):

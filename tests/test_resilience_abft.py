@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultSpec
-from repro.resilience import AbftBatchedModel, SdcDetected
-from repro.resilience.abft import verify_dense_acc
-from repro.serve.batched import BatchedQuantModel
+from repro.nn.network import DenseSpec, Network, QuantModel
+from repro.resilience import SdcDetected, measure_abft_overhead
+from repro.serve.aot import AotModel
 from repro.serve.engine import (EngineConfig, InferenceEngine,
                                 ModelRegistry, RequestStatus)
 from repro.rrm.networks import suite
@@ -28,32 +28,68 @@ def _batch(network, batch_size=5, seed=0):
     return np.asarray(floats * 4096, dtype=np.int64)
 
 
+def _scalar(network, params, x):
+    """Each ``(in,)`` row fed at every timestep of a fresh QuantModel."""
+    return np.stack([
+        QuantModel(network, params).forward(
+            np.repeat(row[None, :], network.timesteps, axis=0))
+        for row in x])
+
+
 class TestDifferential:
     @pytest.mark.parametrize("network", NETWORKS, ids=lambda n: n.name)
     def test_no_false_positives_and_bit_exact(self, network):
         """Fault-free, the checked model must be bit-identical to the
-        plain one — the checksum identity is exact in int arithmetic,
-        so it never fires spuriously and never perturbs outputs."""
+        scalar golden model — the checksum identity is exact in int
+        arithmetic, so it never fires spuriously and never perturbs
+        outputs."""
         params = _params(network)
-        plain = BatchedQuantModel(network, params)
-        checked = AbftBatchedModel(network, params)
+        checked = AotModel(network, params, abft=True)
         for seed in range(3):
             x = _batch(network, seed=seed)
-            assert np.array_equal(checked.infer(x), plain.infer(x))
+            assert np.array_equal(checked.infer(x),
+                                  _scalar(network, params, x))
         assert checked.sdc_detections == 0
 
-    def test_verify_mask_is_per_row(self):
-        network = NETWORKS[0]
+    def test_checksum_mismatch_is_per_row(self):
+        """One dense layer with random weights: a fault-free batch
+        passes, and a flip in one accumulator element names exactly
+        that row."""
+        network = Network(name="dense-abft",
+                          layers=(DenseSpec(NETWORKS[0].input_size, 8),))
         rng = np.random.default_rng(1)
-        w = rng.integers(-2048, 2048, (8, network.input_size))
+        params = [{"w": rng.integers(-2048, 2048,
+                                     (8, network.input_size)),
+                   "b": rng.integers(-2048, 2048, 8)}]
         x = rng.integers(-2048, 2048, (4, network.input_size))
-        bias = rng.integers(-2048, 2048, 8)
-        from repro.serve.batched import dense_acc_batch
-        acc = dense_acc_batch(w, x, bias)
-        assert not verify_dense_acc(w, x, bias, acc).any()
-        acc[2, 3] ^= 1 << 7
-        mask = verify_dense_acc(w, x, bias, acc)
-        assert mask.tolist() == [False, False, True, False]
+        checked = AotModel(network, params, abft=True)
+        assert np.array_equal(checked.infer(x), _scalar(network, params, x))
+        checked.arm_sdc(lambda acc: acc.__setitem__(
+            (2, 3), acc[2, 3] ^ (1 << 7)))
+        with pytest.raises(SdcDetected) as info:
+            checked.infer(x)
+        assert info.value.rows == (2,)
+
+    def test_overhead_measures_the_served_model(self, monkeypatch):
+        """The chaos-bench ABFT overhead times the class the engine
+        serves, once without and once with the checksum."""
+        import repro.resilience.abft as abft_module
+        built = []
+
+        class Recording(AotModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(abft_module, "AotModel", Recording)
+        network = NETWORKS[0]
+        overhead = measure_abft_overhead(network, _params(network),
+                                         repeats=2)
+        assert overhead >= 0.0
+        assert sorted(model.abft for model in built) == [False, True]
+        entry = REGISTRY.get(network, "e")
+        assert all(isinstance(model, type(entry.model))
+                   for model in built)
 
 
 class TestDetection:
@@ -61,7 +97,7 @@ class TestDetection:
         """100% detection: any single-bit flip below bit 31 of any
         accumulator element breaks the row checksum with certainty."""
         network = BY_NAME["sun2017"]
-        checked = AbftBatchedModel(network, _params(network))
+        checked = AotModel(network, _params(network), abft=True)
         x = _batch(network, batch_size=4, seed=7)
         rng = np.random.default_rng(11)
         trials = 25
@@ -80,11 +116,11 @@ class TestDetection:
         assert checked.sdc_detections >= trials
 
     def test_plain_model_is_silently_corrupted(self):
-        """The contrast that motivates ABFT: the base model swallows the
+        """The contrast that motivates ABFT: the plain model swallows the
         same corruption and returns wrong bits with DONE status."""
         network = BY_NAME["sun2017"]
         params = _params(network)
-        plain = BatchedQuantModel(network, params)
+        plain = AotModel(network, params)
         x = _batch(network, batch_size=2, seed=3)
         clean = plain.infer(x)
         plain.arm_sdc(lambda acc: acc.__setitem__((0, 0),
@@ -106,8 +142,7 @@ class TestEnginePath:
         network = BY_NAME[name]
         xs = [_batch(network, batch_size=1, seed=s)[0] for s in range(8)]
         entry = engine.registry.get(network, "e")
-        reference = BatchedQuantModel(network, entry.params_raw)
-        expected = reference.infer(np.stack(xs))
+        expected = _scalar(network, entry.params_raw, np.stack(xs))
         with engine:
             requests = [engine.submit(name, x) for x in xs]
             for request in requests:

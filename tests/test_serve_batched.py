@@ -1,18 +1,20 @@
-"""Bit-exactness of the batched executor against the per-sample golden model.
+"""Batched serving against the per-sample golden model.
 
 Property-style: for every suite network, random Q3.12 parameters and
 inputs, batch sizes 1/3/16 and multiple timesteps, every row of the
-batched output must equal an independent per-sample ``QuantModel`` run.
+served ``AotModel`` output must equal an independent per-sample
+``QuantModel`` run.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.nn.network import (DenseSpec, LstmSpec, Network, QuantModel,
-                              init_params, quantize_params)
+from repro.nn.network import (ConvSpec, DenseSpec, LstmSpec, Network,
+                              QuantModel, init_params, quantize_params)
 from repro.rrm.networks import FULL_SUITE, suite
-from repro.serve.batched import (BatchedQuantModel, conv2d_fixed_batch,
-                                 dense_fixed_batch, lstm_step_fixed_batch)
+from repro.serve.aot import AotModel
 
 BATCH_SIZES = (1, 3, 16)
 
@@ -30,9 +32,7 @@ def _inputs(rng, shape, spread=1.0):
 def _assert_bitexact(network, params, xs):
     """xs: (B, T, in_size); every row must match a per-sample run."""
     batch_size, timesteps, _ = xs.shape
-    batched = BatchedQuantModel(network, params)
-    batched.reset(batch_size)
-    out = batched.forward(xs.transpose(1, 0, 2))
+    out = AotModel(network, params).infer(xs)
     for row in range(batch_size):
         reference = QuantModel(network, params)
         expected = reference.forward(xs[row])
@@ -48,9 +48,11 @@ class TestFullSuiteBitExact:
     def test_matches_per_sample_quantmodel(self, network, batch_size):
         # Recurrent networks get several timesteps so batched state
         # (h, c) evolution is exercised, not just a single forward.
-        timesteps = 3 if network.is_recurrent else network.timesteps
+        if network.is_recurrent:
+            network = dataclasses.replace(network, timesteps=3)
         rng = np.random.default_rng(hash((network.name, batch_size)) % 2**32)
-        xs = _inputs(rng, (batch_size, timesteps, network.input_size))
+        xs = _inputs(rng, (batch_size, network.timesteps,
+                           network.input_size))
         _assert_bitexact(network, _params(network), xs)
 
     @pytest.mark.parametrize("network", suite(4),
@@ -65,43 +67,6 @@ class TestFullSuiteBitExact:
         _assert_bitexact(network, _params(network, scale=6.0), xs)
 
 
-class TestBatchedPrimitives:
-    def test_dense_rows_independent(self):
-        rng = np.random.default_rng(3)
-        w = rng.integers(-2000, 2000, (6, 9), dtype=np.int64)
-        b = rng.integers(-500, 500, 6, dtype=np.int64)
-        x = rng.integers(-32768, 32767, (4, 9), dtype=np.int64)
-        from repro.nn.layers import dense_fixed
-        out = dense_fixed_batch(w, x, b)
-        for row in range(4):
-            assert np.array_equal(out[row], dense_fixed(w, x[row], b))
-
-    def test_lstm_rows_independent(self):
-        rng = np.random.default_rng(4)
-        m, n, batch = 5, 4, 3
-        w = rng.integers(-2000, 2000, (4 * n, m + n), dtype=np.int64)
-        b = rng.integers(-500, 500, 4 * n, dtype=np.int64)
-        x = rng.integers(-8000, 8000, (batch, m), dtype=np.int64)
-        h = rng.integers(-4096, 4096, (batch, n), dtype=np.int64)
-        c = rng.integers(-8000, 8000, (batch, n), dtype=np.int64)
-        from repro.nn.layers import lstm_step_fixed
-        h_new, c_new = lstm_step_fixed_batch(w, b, x, h, c)
-        for row in range(batch):
-            h_ref, c_ref = lstm_step_fixed(w, b, x[row], h[row], c[row])
-            assert np.array_equal(h_new[row], h_ref)
-            assert np.array_equal(c_new[row], c_ref)
-
-    def test_conv_rows_independent(self):
-        rng = np.random.default_rng(5)
-        w = rng.integers(-2000, 2000, (3, 2, 3, 3), dtype=np.int64)
-        b = rng.integers(-500, 500, 3, dtype=np.int64)
-        x = rng.integers(-8000, 8000, (4, 2, 6, 6), dtype=np.int64)
-        from repro.nn.layers import conv2d_fixed
-        out = conv2d_fixed_batch(w, x, b)
-        for row in range(4):
-            assert np.array_equal(out[row], conv2d_fixed(w, x[row], b))
-
-
 class TestBatchedApi:
     def _network(self):
         return Network(name="t", layers=(LstmSpec(4, 4),
@@ -113,29 +78,61 @@ class TestBatchedApi:
         params = _params(network)
         rng = np.random.default_rng(0)
         x = _inputs(rng, (3, network.input_size))
-        batched = BatchedQuantModel(network, params)
-        out = batched.infer(x)
+        model = AotModel(network, params)
+        out = model.infer(x)
         # (B, in) means "feed the same input at every timestep".
         expanded = np.repeat(x[:, None, :], network.timesteps, axis=1)
-        assert np.array_equal(out, BatchedQuantModel(network,
-                                                     params).infer(expanded))
+        assert np.array_equal(out, AotModel(network, params).infer(expanded))
 
     def test_infer_rejects_bad_timesteps(self):
         network = self._network()
-        batched = BatchedQuantModel(network, _params(network))
+        model = AotModel(network, _params(network))
         with pytest.raises(ValueError, match="expected"):
-            batched.infer(np.zeros((2, 5, network.input_size),
-                                   dtype=np.int64))
+            model.infer(np.zeros((2, 5, network.input_size),
+                                 dtype=np.int64))
 
-    def test_step_rejects_batch_size_change(self):
-        network = self._network()
-        batched = BatchedQuantModel(network, _params(network))
-        batched.step(np.zeros((3, network.input_size), dtype=np.int64))
-        with pytest.raises(ValueError, match="batch size changed"):
-            batched.step(np.zeros((4, network.input_size), dtype=np.int64))
 
-    def test_reset_requires_positive_batch(self):
-        network = self._network()
-        batched = BatchedQuantModel(network, _params(network))
-        with pytest.raises(ValueError):
-            batched.reset(0)
+class TestBatchedPrimitives:
+    """Single-layer served models, row by row against the scalar layer."""
+
+    def test_dense_rows_independent(self):
+        rng = np.random.default_rng(3)
+        w = rng.integers(-2000, 2000, (6, 9), dtype=np.int64)
+        b = rng.integers(-500, 500, 6, dtype=np.int64)
+        x = rng.integers(-32768, 32767, (4, 9), dtype=np.int64)
+        from repro.nn.layers import dense_fixed
+        network = Network(name="dense-p", layers=(DenseSpec(9, 6, None),))
+        out = AotModel(network, [{"w": w, "b": b}]).infer(x)
+        for row in range(4):
+            assert np.array_equal(out[row], dense_fixed(w, x[row], b))
+
+    def test_lstm_rows_independent(self):
+        rng = np.random.default_rng(4)
+        m, n, batch, timesteps = 6, 4, 3, 3
+        w = rng.integers(-2000, 2000, (4 * n, m + n), dtype=np.int64)
+        b = rng.integers(-500, 500, 4 * n, dtype=np.int64)
+        xs = rng.integers(-8000, 8000, (batch, timesteps, m), dtype=np.int64)
+        from repro.nn.layers import lstm_step_fixed
+        network = Network(name="lstm-p", layers=(LstmSpec(m, n),),
+                          timesteps=timesteps)
+        out = AotModel(network, [{"w": w, "b": b}]).infer(xs)
+        for row in range(batch):
+            # (h, c) carry between timesteps, so every step after the
+            # first runs from a non-zero state.
+            h = np.zeros(n, dtype=np.int64)
+            c = np.zeros(n, dtype=np.int64)
+            for x in xs[row]:
+                h, c = lstm_step_fixed(w, b, x, h, c)
+            assert np.array_equal(out[row], h)
+
+    def test_conv_rows_independent(self):
+        rng = np.random.default_rng(5)
+        w = rng.integers(-2000, 2000, (3, 2, 3, 3), dtype=np.int64)
+        b = rng.integers(-500, 500, 3, dtype=np.int64)
+        x = rng.integers(-8000, 8000, (4, 2, 6, 6), dtype=np.int64)
+        from repro.nn.layers import conv2d_fixed
+        network = Network(name="conv-p", layers=(ConvSpec(2, 3, 6, 6, 3),))
+        out = AotModel(network, [{"w": w, "b": b}]).infer(x.reshape(4, -1))
+        for row in range(4):
+            assert np.array_equal(out[row],
+                                  conv2d_fixed(w, x[row], b).reshape(-1))
